@@ -75,17 +75,19 @@ pub struct FlConfig {
     pub shard: ShardConfig,
 }
 
-/// How client ids map onto shard processes. Any assignment is
-/// trajectory-neutral; this only shapes load balance across shards.
+/// How a round's cohort maps onto shard processes. Placement is by
+/// *selection ordinal* (a client's position in this round's cohort), not by
+/// client id. Any assignment is trajectory-neutral; this only shapes load
+/// balance across shards.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub enum ShardAssignment {
-    /// `client_id % n_shards` — the default, perfectly balanced for the
-    /// uniform selection the paper uses.
+    /// `ord % n_shards` — the default. Every cohort splits as evenly as its
+    /// size allows (8 clients on 2 shards always run 4/4), whichever clients
+    /// were selected.
     #[default]
     Modulo,
-    /// `mix(seed, DOMAIN_TOPOLOGY, client_id) % n_shards` — a seeded hash,
-    /// used by the parity proptest to prove invariance over arbitrary
-    /// placements.
+    /// `mix(seed, DOMAIN_TOPOLOGY, ord) % n_shards` — a seeded hash, used by
+    /// the parity proptest to prove invariance over arbitrary placements.
     Mixed {
         /// Hash seed; independent of the experiment seed.
         seed: u64,
@@ -93,17 +95,15 @@ pub enum ShardAssignment {
 }
 
 impl ShardAssignment {
-    /// The shard that owns `client_id` in an `n_shards`-process topology.
-    pub fn shard_of(&self, client_id: usize, n_shards: usize) -> usize {
+    /// The shard that runs the cohort member with selection ordinal `ord`
+    /// in an `n_shards`-process topology.
+    pub fn shard_of(&self, ord: usize, n_shards: usize) -> usize {
         let n = n_shards.max(1);
         match self {
-            ShardAssignment::Modulo => client_id % n,
+            ShardAssignment::Modulo => ord % n,
             ShardAssignment::Mixed { seed } => {
-                let h = fedca_sim::stream::mix(
-                    *seed,
-                    fedca_sim::stream::DOMAIN_TOPOLOGY,
-                    client_id as u64,
-                );
+                let h =
+                    fedca_sim::stream::mix(*seed, fedca_sim::stream::DOMAIN_TOPOLOGY, ord as u64);
                 (h % n as u64) as usize
             }
         }
@@ -418,15 +418,15 @@ mod tests {
     fn shard_assignments_cover_every_shard_and_round_trip() {
         for n in [1usize, 2, 4] {
             let mut hit = vec![false; n];
-            for id in 0..64 {
-                hit[ShardAssignment::Modulo.shard_of(id, n)] = true;
+            for ord in 0..64 {
+                hit[ShardAssignment::Modulo.shard_of(ord, n)] = true;
             }
             assert!(hit.iter().all(|&h| h), "modulo misses a shard at n={n}");
             let mixed = ShardAssignment::Mixed { seed: 7 };
             let mut hit = vec![false; n];
-            for id in 0..256 {
-                let s = mixed.shard_of(id, n);
-                assert_eq!(s, mixed.shard_of(id, n), "placement must be stable");
+            for ord in 0..256 {
+                let s = mixed.shard_of(ord, n);
+                assert_eq!(s, mixed.shard_of(ord, n), "placement must be stable");
                 hit[s] = true;
             }
             assert!(hit.iter().all(|&h| h), "mixed misses a shard at n={n}");

@@ -116,14 +116,22 @@ fn invariant<T>(r: Result<T, TrainerError>) -> T {
     r.unwrap_or_else(|e| panic!("client-store invariant violated: {e}"))
 }
 
+/// The process's thread budget: one `RoundExecutor` worker per cohort
+/// member, capped at the host's cores. The pool is the only compute
+/// parallelism (kernels never spawn), so this is the one place that sizes
+/// it.
+fn default_workers(fl: &FlConfig) -> usize {
+    fl.clients_per_round.clamp(
+        1,
+        std::thread::available_parallelism().map_or(8, |n| n.get()),
+    )
+}
+
 impl Trainer {
     /// Builds the federation: partitions the data non-IID, assigns device
     /// speeds/dynamics, and initializes the global model.
     pub fn new(fl: FlConfig, scheme: Scheme, workload: Workload) -> Self {
-        let n_workers = fl.clients_per_round.clamp(
-            1,
-            std::thread::available_parallelism().map_or(8, |n| n.get()),
-        );
+        let n_workers = default_workers(&fl);
         Self::new_with_workers(fl, scheme, workload, n_workers)
     }
 
@@ -901,10 +909,7 @@ impl Trainer {
         scheme: Scheme,
         workload: Workload,
     ) -> Result<Self, CheckpointError> {
-        let n_workers = fl.clients_per_round.clamp(
-            1,
-            std::thread::available_parallelism().map_or(8, |n| n.get()),
-        );
+        let n_workers = default_workers(&fl);
         Self::resume_with_workers(fl, scheme, workload, n_workers)
     }
 

@@ -1,7 +1,8 @@
 //! Sharded multi-process execution with hierarchical aggregation.
 //!
-//! The population is split across N shard processes by
-//! [`ShardAssignment`](crate::config::ShardAssignment). Each shard runs its
+//! Each round's cohort is split across N shard processes by selection
+//! ordinal ([`ShardAssignment`](crate::config::ShardAssignment)), so the
+//! shards get equal shares of the round's work. Each shard runs its
 //! own [`RoundExecutor`] worker pool plus a shard-local *standalone*
 //! [`StreamingAggregator`] that does level-1 arrival/cut bookkeeping only.
 //! Every per-client report is forwarded to the root coordinator, which
@@ -1462,7 +1463,7 @@ impl ShardPool {
         let assignment = self.fl.shard.assignment.clone();
         let mut by_shard: Vec<Vec<WorkItem>> = (0..n).map(|_| Vec::new()).collect();
         for item in items {
-            by_shard[assignment.shard_of(item.client_id, n)].push(item);
+            by_shard[assignment.shard_of(item.ord, n)].push(item);
         }
 
         let mut global_bytes = BytesMut::with_capacity(4 * global.len());

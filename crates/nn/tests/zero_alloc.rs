@@ -3,7 +3,10 @@
 //! A counting global allocator wraps `System`; after a few warm-up
 //! iterations populate the workspace pool, the layer caches, and the GEMM
 //! pack buffers, one full forward + loss + backward + step must perform
-//! ZERO heap allocations for every model family.
+//! ZERO heap allocations for every model family. The run uses default
+//! settings on whatever host runs it; a thread spawn allocates (stack,
+//! thread handle), so the zero count also proves a warmed iteration spawns
+//! no threads, even on a multi-core host.
 //!
 //! Everything runs inside ONE `#[test]` — libtest runs tests on parallel
 //! threads by default, and a second test's allocations would pollute the
@@ -71,9 +74,6 @@ fn assert_zero_alloc_steady_state(name: &str, mut model: Model, x: Tensor, y: Ve
 
 #[test]
 fn warmed_up_training_iteration_allocates_nothing() {
-    // Single-threaded GEMM keeps the measurement on this thread only (the
-    // latch reads the env var on first use, before any tensor op runs).
-    std::env::set_var("FEDCA_THREADS", "1");
     let mut rng = StdRng::seed_from_u64(99);
     let n = 16;
 

@@ -27,7 +27,7 @@ pub const DOMAIN_DEVICE: u64 = 0x4445_5649_4321_7A03;
 pub const DOMAIN_PROFILER: u64 = 0x5052_4F46_4921_7A04;
 /// Stream domain: a client's per-round local-training RNG base seed.
 pub const DOMAIN_CLIENT: u64 = 0x434C_4945_4E21_7A05;
-/// Stream domain: a client's placement onto a shard process
+/// Stream domain: a cohort member's placement onto a shard process
 /// (`ShardAssignment::Mixed`). Placement is trajectory-neutral, but it still
 /// gets its own domain so a hash seed equal to the experiment seed cannot
 /// correlate placement with the data partition.

@@ -46,17 +46,18 @@
 //!
 //! # Determinism
 //!
-//! Results are **bit-identical regardless of thread count, per dispatch
-//! tier**. The depth (`k`) loop is strictly sequential, and parallelism only
-//! ever splits the output rows at `MR`-tile boundaries, so every output
-//! element is produced by the exact same sequence of f32 additions no matter
-//! how the tiles are distributed. Different tiers may legitimately produce
-//! different low-order bits (FMA contracts the multiply-add rounding; the
-//! AVX2 kernel interleaves two accumulation chains over `k`), which is why
-//! golden-trace fixtures are recorded *per tier* and the golden suite pins
-//! the scalar kernel explicitly. The 1-vs-4-worker golden-trace and chaos
-//! suites rely on this, and `tests/gemm_parity.rs` checks it property-style
-//! for every tier the host can run.
+//! Results are **bit-identical per dispatch tier**, on any host. A GEMM runs
+//! on the calling thread only — the per-process `RoundExecutor` pool is the
+//! workspace's one source of compute parallelism, so nothing here spawns —
+//! and the depth (`k`) loop is strictly sequential, so every output element
+//! is produced by one fixed sequence of f32 additions. Different tiers may
+//! legitimately produce different low-order bits (FMA contracts the
+//! multiply-add rounding; the AVX2 kernel interleaves two accumulation
+//! chains over `k`), which is why golden-trace fixtures are recorded *per
+//! tier* and the golden suite pins the scalar kernel explicitly. The
+//! 1-vs-4-worker golden-trace and chaos suites rely on this, and
+//! `tests/gemm_parity.rs` checks every tier the host can run against an f64
+//! reference and against the scalar kernel.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -188,8 +189,8 @@ pub fn force_kernel(kernel: Kernel) -> Kernel {
     *ACTIVE.get_or_init(|| kernel)
 }
 
-/// `C += op(A) · op(B)` with the thread count chosen by the shared min-par
-/// heuristic ([`crate::parallel::matmul_thread_count`]).
+/// `C += op(A) · op(B)` on the process-wide dispatch tier
+/// ([`active_kernel`]).
 ///
 /// Logical dims are `op(A): [m,k]`, `op(B): [k,n]`, `C: [m,n]`, all
 /// row-major and densely packed. `trans_a` means A is *stored* `[k,m]`;
@@ -208,37 +209,18 @@ pub fn gemm_acc(
     b: &[f32],
     c: &mut [f32],
 ) {
-    let threads = crate::parallel::matmul_thread_count(m * n * k);
-    gemm_acc_with_threads(trans_a, trans_b, m, n, k, a, b, c, threads);
+    gemm_acc_on(active_kernel(), trans_a, trans_b, m, n, k, a, b, c);
 }
 
-/// [`gemm_acc`] with an explicit thread count. Public so tests can prove
-/// bit-identity across thread counts without re-configuring the process-wide
-/// `FEDCA_THREADS` setting (which is latched on first use).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_acc_with_threads(
-    trans_a: bool,
-    trans_b: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-) {
-    gemm_acc_with_threads_on(active_kernel(), trans_a, trans_b, m, n, k, a, b, c, threads);
-}
-
-/// [`gemm_acc_with_threads`] on an explicit microkernel tier. Public so the
-/// parity suite can compare every compiled tier in one process without
-/// touching the latched dispatch state.
+/// [`gemm_acc`] on an explicit microkernel tier. Public so the parity suite
+/// can compare every compiled tier in one process without touching the
+/// latched dispatch state.
 ///
 /// # Panics
 /// Panics if a slice length does not match its logical dimensions, or if
 /// `kernel` is unavailable on this host.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_acc_with_threads_on(
+pub fn gemm_acc_on(
     kernel: Kernel,
     trans_a: bool,
     trans_b: bool,
@@ -248,7 +230,6 @@ pub fn gemm_acc_with_threads_on(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    threads: usize,
 ) {
     assert!(
         kernel.is_available(),
@@ -261,7 +242,6 @@ pub fn gemm_acc_with_threads_on(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let threads = threads.clamp(1, m.div_ceil(MR));
     PACK_B.with(|cell| {
         let mut bp = cell.borrow_mut();
         for jc in (0..n).step_by(NC) {
@@ -273,48 +253,19 @@ pub fn gemm_acc_with_threads_on(
                     bp.resize(need, 0.0);
                 }
                 pack_b_block(&mut bp[..need], b, trans_b, k, n, p0, kc, jc, nc);
-                let b_pack: &[f32] = &bp[..need];
-                if threads == 1 {
-                    compute_rows(kernel, c, 0, m, a, trans_a, m, k, b_pack, jc, nc, p0, kc, n);
-                } else {
-                    // Split the output rows into contiguous, MR-aligned
-                    // ranges. The per-element summation order is fixed by
-                    // the tile schedule, so any split yields the same bits.
-                    let tiles_per = m.div_ceil(MR).div_ceil(threads);
-                    let rows_per = tiles_per * MR;
-                    crossbeam::scope(|s| {
-                        let mut rest: &mut [f32] = c;
-                        let mut r0 = 0usize;
-                        while !rest.is_empty() {
-                            let rows = rows_per.min(m - r0);
-                            let (head, tail) = rest.split_at_mut(rows * n);
-                            let start = r0;
-                            s.spawn(move |_| {
-                                compute_rows(
-                                    kernel, head, start, rows, a, trans_a, m, k, b_pack, jc, nc,
-                                    p0, kc, n,
-                                );
-                            });
-                            r0 += rows;
-                            rest = tail;
-                        }
-                    })
-                    .expect("gemm worker panicked");
-                }
+                compute_rows(kernel, c, a, trans_a, m, k, &bp[..need], jc, nc, p0, kc, n);
             }
         }
     });
 }
 
-/// Processes output rows `[r0, r0 + rows)` against one packed B panel:
-/// packs A in `MC`-row blocks (into this thread's scratch) and runs the
-/// microkernel grid. `c_rows` is exactly those rows of C (`rows * n` long).
+/// Processes all `m` output rows against one packed B panel: packs A in
+/// `MC`-row blocks (into this thread's scratch) and runs the microkernel
+/// grid over C.
 #[allow(clippy::too_many_arguments)]
 fn compute_rows(
     kernel: Kernel,
-    c_rows: &mut [f32],
-    r0: usize,
-    rows: usize,
+    c: &mut [f32],
     a: &[f32],
     trans_a: bool,
     m: usize,
@@ -328,13 +279,13 @@ fn compute_rows(
 ) {
     PACK_A.with(|cell| {
         let mut ap = cell.borrow_mut();
-        for ic in (0..rows).step_by(MC) {
-            let mc = MC.min(rows - ic);
+        for ic in (0..m).step_by(MC) {
+            let mc = MC.min(m - ic);
             let need = mc.div_ceil(MR) * kc * MR;
             if ap.len() < need {
                 ap.resize(need, 0.0);
             }
-            pack_a_block(&mut ap[..need], a, trans_a, m, k, r0 + ic, mc, p0, kc);
+            pack_a_block(&mut ap[..need], a, trans_a, m, k, ic, mc, p0, kc);
             let n_strips = nc.div_ceil(NR);
             let m_strips = mc.div_ceil(MR);
             for js in 0..n_strips {
@@ -344,7 +295,7 @@ fn compute_rows(
                     let asl = &ap[is * kc * MR..(is + 1) * kc * MR];
                     let mr = MR.min(mc - is * MR);
                     let base = (ic + is * MR) * n + jc + js * NR;
-                    micro_kernel_dispatch(kernel, asl, bs, &mut c_rows[base..], n, mr, nr);
+                    micro_kernel_dispatch(kernel, asl, bs, &mut c[base..], n, mr, nr);
                 }
             }
         }
@@ -354,7 +305,7 @@ fn compute_rows(
 /// Runs one register tile on the requested tier and adds its live
 /// `mr`×`nr` region into C (`c` starts at the tile's top-left element,
 /// row stride `ldc`). The availability check happened at the
-/// `gemm_acc_with_threads_on` boundary, so calling the `target_feature`
+/// `gemm_acc_on` boundary, so calling the `target_feature`
 /// kernels here is sound. Every tier adds each output element into C
 /// exactly once with the same value, so routing the store through the
 /// tier (the AVX2 kernel stores full tiles directly, skipping the
@@ -408,8 +359,8 @@ fn micro_kernel_scalar(a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
 /// the `MR = 8` rows; the depth loop is unrolled by two with a second set
 /// of column accumulators so the 8 FMA dependency chains cover the FMA
 /// latency on one core. The odd/even chains are combined once at the end —
-/// a fixed, tile-local summation order, so the tier stays bit-identical
-/// across thread counts (threads split output rows, never `k`).
+/// a fixed, tile-local summation order, so the tier's bits depend only on
+/// the operands.
 ///
 /// The epilogue transposes the four column registers into rows with lane
 /// shuffles and, for full tiles, adds them straight into C — small-depth
@@ -501,8 +452,8 @@ unsafe fn micro_kernel_avx2(a: &[f32], b: &[f32], c: &mut [f32], ldc: usize, mr:
 
 /// NEON register tile: each output column is a low/high `float32x4_t` pair
 /// over the `MR = 8` rows, updated by lane-broadcast FMAs. One accumulation
-/// chain per column half — a fixed, tile-local summation order, so the tier
-/// stays bit-identical across thread counts.
+/// chain per column half — a fixed, tile-local summation order, so the
+/// tier's bits depend only on the operands.
 ///
 /// # Safety
 /// Requires the `neon` target feature (baseline on aarch64).
@@ -726,25 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_counts_produce_identical_bits() {
-        // Spans multiple MR tiles and KC blocks so the parallel split is real.
-        let (m, n, k) = (67, 35, 300);
-        let a: Vec<f32> = (0..m * k)
-            .map(|i| ((i * 31 % 997) as f32 - 498.0) * 1e-3)
-            .collect();
-        let b: Vec<f32> = (0..k * n)
-            .map(|i| ((i * 17 % 991) as f32 - 495.0) * 1e-3)
-            .collect();
-        let mut c1 = vec![0.0f32; m * n];
-        gemm_acc_with_threads(false, false, m, n, k, &a, &b, &mut c1, 1);
-        for threads in [2, 3, 4, 7] {
-            let mut ct = vec![0.0f32; m * n];
-            gemm_acc_with_threads(false, false, m, n, k, &a, &b, &mut ct, threads);
-            assert_eq!(c1, ct, "threads={threads} changed the bits");
-        }
-    }
-
-    #[test]
     fn zero_dims_are_noops() {
         let mut c = vec![7.0f32; 6];
         gemm_acc(false, false, 2, 3, 0, &[], &[], &mut c);
@@ -776,7 +708,7 @@ mod tests {
         let a = fill(m * k, 5);
         let b = fill(k * n, 6);
         let mut reference = vec![0.0f32; m * n];
-        gemm_acc_with_threads_on(
+        gemm_acc_on(
             Kernel::Scalar,
             false,
             false,
@@ -786,11 +718,10 @@ mod tests {
             &a,
             &b,
             &mut reference,
-            1,
         );
         for tier in available_kernels() {
             let mut c = vec![0.0f32; m * n];
-            gemm_acc_with_threads_on(tier, false, false, m, n, k, &a, &b, &mut c, 1);
+            gemm_acc_on(tier, false, false, m, n, k, &a, &b, &mut c);
             for (i, (&x, &y)) in c.iter().zip(reference.iter()).enumerate() {
                 let tol = 1e-3 * (1.0 + y.abs());
                 assert!(
@@ -812,6 +743,6 @@ mod tests {
             Kernel::Avx2
         };
         let mut c = vec![0.0f32; 1];
-        gemm_acc_with_threads_on(missing, false, false, 1, 1, 1, &[1.0], &[1.0], &mut c, 1);
+        gemm_acc_on(missing, false, false, 1, 1, 1, &[1.0], &[1.0], &mut c);
     }
 }

@@ -1,158 +1,17 @@
-//! Scoped data parallelism built on `crossbeam::scope`.
+//! The tensor kernels' thread budget: none of their own.
 //!
-//! FL clients train concurrently on OS threads at the `fedca-core` layer,
-//! so the tensor kernels here stay lean: one helper that splits a mutable
-//! buffer into disjoint chunks and processes them on scoped threads, and a
-//! knob for how many threads to use. The split is by *rows of work*, and the
-//! closure receives the chunk's starting offset so kernels can recover
-//! global indices.
-//!
-//! Following the perf-book guidance, parallel dispatch only kicks in above a
-//! work threshold — thread spawning costs microseconds, which dwarfs the
-//! small matmuls of a 60K-parameter federated model.
+//! FL clients train concurrently on the persistent `RoundExecutor` worker
+//! pool in `fedca-core`, sized to min(cohort, cores). That pool (one per
+//! process) is the workspace's only source of compute parallelism, so every
+//! kernel in this crate runs on the calling thread. Spawning threads inside
+//! a GEMM as well would oversubscribe the cores the pool already fills and
+//! pay a spawn per call in the training hot loop.
 
-/// Number of worker threads used by parallel kernels.
-///
-/// Defaults to the machine's available parallelism; override with the
-/// `FEDCA_THREADS` environment variable (useful to pin experiments to one
-/// core for determinism-of-timing studies).
-pub fn num_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        if let Ok(v) = std::env::var("FEDCA_THREADS") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-/// Minimum number of multiply-add operations before a matmul-shaped kernel
-/// goes parallel. Thread dispatch costs microseconds, which dwarfs the small
-/// matmuls of a 60K-parameter federated model.
-///
-/// This constant used to be copy-pasted into each kernel in `ops.rs`; it now
-/// lives here as the single source of truth, consumed via
-/// [`matmul_thread_count`].
-pub const PAR_FLOPS_THRESHOLD: usize = 1 << 20;
-
-/// The one min-par heuristic shared by every matmul variant (including the
-/// weight-gradient kernel, which historically never parallelized): returns
-/// how many threads a kernel with `flops` multiply-adds should use.
-///
-/// Returns 1 below [`PAR_FLOPS_THRESHOLD`], otherwise [`num_threads`].
+/// How many threads a matmul-shaped kernel with `flops` multiply-adds uses:
+/// always `1`, because kernels run on the calling thread and the worker
+/// pool above them supplies the parallelism. Kept public so benchmarks can
+/// report the kernel thread budget next to their GFLOP/s.
 #[inline]
-pub fn matmul_thread_count(flops: usize) -> usize {
-    if flops >= PAR_FLOPS_THRESHOLD {
-        num_threads()
-    } else {
-        1
-    }
-}
-
-/// Applies `f` to disjoint mutable chunks of `data`, in parallel when the
-/// buffer is large enough and more than one thread is configured.
-///
-/// `chunk_rows` elements stay together (e.g. one output row of a matmul), so
-/// `data.len()` must be a multiple of `chunk_rows`. The closure receives
-/// `(start_element_offset, chunk)`.
-///
-/// # Panics
-/// Panics if `chunk_rows == 0` or `data.len() % chunk_rows != 0`.
-pub fn par_chunks_mut<F>(data: &mut [f32], chunk_rows: usize, min_par_len: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    assert!(chunk_rows > 0, "chunk_rows must be positive");
-    assert_eq!(
-        data.len() % chunk_rows,
-        0,
-        "buffer length {} not a multiple of row size {}",
-        data.len(),
-        chunk_rows
-    );
-    let threads = num_threads();
-    if threads <= 1 || data.len() < min_par_len {
-        f(0, data);
-        return;
-    }
-    let total_rows = data.len() / chunk_rows;
-    let rows_per_thread = total_rows.div_ceil(threads);
-    let split = rows_per_thread * chunk_rows;
-    crossbeam::scope(|s| {
-        let mut offset = 0usize;
-        let mut rest = data;
-        while !rest.is_empty() {
-            let take = split.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let start = offset;
-            let fref = &f;
-            s.spawn(move |_| fref(start, head));
-            offset += take;
-            rest = tail;
-        }
-    })
-    .expect("parallel worker panicked");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sequential_fallback_small_buffers() {
-        let mut v = vec![1.0f32; 8];
-        par_chunks_mut(&mut v, 2, usize::MAX, |start, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = (start + i) as f32;
-            }
-        });
-        assert_eq!(v, (0..8).map(|i| i as f32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_path_covers_every_element_exactly_once() {
-        let n = 10_000;
-        let mut v = vec![0.0f32; n];
-        par_chunks_mut(&mut v, 4, 0, |start, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x += (start + i) as f32 + 1.0;
-            }
-        });
-        for (i, &x) in v.iter().enumerate() {
-            assert_eq!(x, i as f32 + 1.0, "element {i} processed wrongly");
-        }
-    }
-
-    #[test]
-    fn respects_row_boundaries() {
-        // With chunk_rows = 5, every chunk offset must be a multiple of 5.
-        let mut v = vec![0.0f32; 100];
-        par_chunks_mut(&mut v, 5, 0, |start, chunk| {
-            assert_eq!(start % 5, 0);
-            assert_eq!(chunk.len() % 5, 0);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn rejects_misaligned_buffers() {
-        let mut v = vec![0.0f32; 7];
-        par_chunks_mut(&mut v, 2, 0, |_, _| {});
-    }
-
-    #[test]
-    fn num_threads_is_at_least_one() {
-        assert!(num_threads() >= 1);
-    }
-
-    #[test]
-    fn matmul_thread_count_heuristic() {
-        assert_eq!(matmul_thread_count(0), 1);
-        assert_eq!(matmul_thread_count(PAR_FLOPS_THRESHOLD - 1), 1);
-        assert_eq!(matmul_thread_count(PAR_FLOPS_THRESHOLD), num_threads());
-    }
+pub fn matmul_thread_count(_flops: usize) -> usize {
+    1
 }

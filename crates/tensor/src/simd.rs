@@ -12,7 +12,7 @@
 //! by `log2 e`, 6th-order minimax, exponent reassembled through the IEEE
 //! bit pattern). It agrees with libm to a few ulps but is **not**
 //! bit-identical to it, so these routines follow the same contract as the
-//! GEMM microkernels: trajectories are bit-identical across thread counts
+//! GEMM microkernels: trajectories are bit-identical across worker counts
 //! *within* a dispatch tier, never across tiers. Callers must gate on
 //! [`crate::gemm::active_kernel`] and keep the scalar tier on the scalar
 //! libm path — that is what keeps the committed scalar-tier golden traces

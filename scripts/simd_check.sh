@@ -4,8 +4,7 @@
 #  1. Correctness: runs the tiered GEMM parity suite once per kernel tier
 #     the host can execute, with FEDCA_FORCE_KERNEL pinning the dispatch —
 #     so the scalar fallback stays exercised on SIMD hardware and every
-#     compiled tier proves f64-reference accuracy, scalar-proximity, and
-#     thread-count bit-stability.
+#     compiled tier proves f64-reference accuracy and scalar-proximity.
 #
 #  2. Performance: on hosts with a SIMD tier, re-runs the train_iteration
 #     benches and requires each median to beat the packed scalar kernel
